@@ -64,8 +64,8 @@ check: build vet race-telemetry race-fault race-sim race-service race-compact ra
 
 # fuzz runs the coverage-guided differential fuzz targets: the compiled
 # kernel against the interpreter at every execution width, and every
-# fault-simulation backend/worker/drop configuration against the serial
-# baseline. FUZZTIME bounds each target.
+# fault-simulation backend/worker/drop configuration plus the deductive
+# reference against the serial baseline. FUZZTIME bounds each target.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=$(FUZZTIME) ./internal/sim
@@ -80,44 +80,43 @@ fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=$(SMOKETIME)
 
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -run='^$$' -bench=. -benchmem .
 
 # bench-json runs the benchmarks and leaves the accumulated telemetry
 # as a dft.run-report/v1 document in BENCH_telemetry.json.
 bench-json:
-	DFT_BENCH_JSON=BENCH_telemetry.json $(GO) test -bench=. -benchmem .
+	DFT_BENCH_JSON=BENCH_telemetry.json $(GO) test -run='^$$' -bench=. -benchmem .
 
 # bench-faultsim measures engine scaling at 1/2/4/8 workers and leaves
 # the shard counters as a dft.run-report/v1 document.
 bench-faultsim:
-	DFT_BENCH_JSON=BENCH_faultsim.json $(GO) test -bench=BenchmarkEngineScaling -benchmem .
+	DFT_BENCH_JSON=BENCH_faultsim.json $(GO) test -run='^$$' -bench=BenchmarkEngineScaling -benchmem .
 
-# bench-faultpar compares the fault-parallel speed tier (faultparallel
-# SPMF and cpt critical-path tracing) against the PPSFP baseline on a
-# large no-drop grading, leaving the backend work counters as a
-# dft.run-report/v1 document.
+# bench-faultpar compares cpt critical-path tracing against the PPSFP
+# baseline on a large no-drop grading and on a few-pattern re-grade,
+# leaving the backend work counters as a dft.run-report/v1 document.
 bench-faultpar:
-	DFT_BENCH_JSON=BENCH_faultpar.json $(GO) test -bench='BenchmarkEngineScaling/(nodrop|fewpats)' -benchmem .
+	DFT_BENCH_JSON=BENCH_faultpar.json $(GO) test -run='^$$' -bench='BenchmarkEngineScaling/(nodrop|fewpats)' -benchmem .
 
 # bench-sim measures the interpreted vs compiled good-machine kernels
 # (scalar word and blocked) and leaves the kernel counters as a
 # dft.run-report/v1 document.
 bench-sim:
-	DFT_BENCH_JSON=BENCH_simkernel.json $(GO) test -bench=BenchmarkKernelInterpVsCompiled -benchmem .
+	DFT_BENCH_JSON=BENCH_simkernel.json $(GO) test -run='^$$' -bench=BenchmarkInterpVsCompiled -benchmem .
 
 # bench-service measures job-service overhead and the progress-
 # instrumentation ablation (the instrumented engine must stay within
 # 2% of the NoProgress run), leaving the telemetry as a
 # dft.run-report/v1 document.
 bench-service:
-	DFT_BENCH_JSON=BENCH_service.json $(GO) test -bench=BenchmarkService -benchmem .
+	DFT_BENCH_JSON=BENCH_service.json $(GO) test -run='^$$' -bench=BenchmarkService -benchmem .
 
 # bench-compact measures test-set compaction on random and
 # deterministic workloads (targets: ≥ 4× on a 1024-pattern random set,
 # ≥ 1.5× on the classical per-fault deterministic set) and leaves the
 # ratios and engine counters as a dft.run-report/v1 document.
 bench-compact:
-	DFT_BENCH_JSON=BENCH_compact.json $(GO) test -bench=BenchmarkCompact -benchmem .
+	DFT_BENCH_JSON=BENCH_compact.json $(GO) test -run='^$$' -bench=BenchmarkCompact -benchmem .
 
 # bench-diagnose measures fault-dictionary construction: the
 # engine-backed build against the legacy serial per-fault loop (target:
@@ -125,7 +124,7 @@ bench-compact:
 # compacted-input variant, leaving dictionary sizes and the speedup as
 # a dft.run-report/v1 document.
 bench-diagnose:
-	DFT_BENCH_JSON=BENCH_diagnose.json $(GO) test -bench=BenchmarkDiagnose -benchmem .
+	DFT_BENCH_JSON=BENCH_diagnose.json $(GO) test -run='^$$' -bench=BenchmarkDiagnose -benchmem .
 
 # bench-advise measures the closed-loop DFT advisor's coverage-vs-
 # overhead trade on the hardcore builtin (must climb from a sub-90%
@@ -133,7 +132,7 @@ bench-diagnose:
 # zero overhead), leaving the trajectory gauges and probe counters as a
 # dft.run-report/v1 document.
 bench-advise:
-	DFT_BENCH_JSON=BENCH_advise.json $(GO) test -bench=BenchmarkAdvise -benchmem .
+	DFT_BENCH_JSON=BENCH_advise.json $(GO) test -run='^$$' -bench=BenchmarkAdvise -benchmem .
 
 clean:
 	$(GO) clean ./...

@@ -355,9 +355,9 @@ func BenchmarkEngineScaling(b *testing.B) {
 	// dropping (every fault graded against every pattern — the service
 	// tier's re-grading workload), once per backend. This is the
 	// BENCH_faultpar.json matrix: cpt grades the whole fault list from
-	// one good-machine pass per pattern, faultparallel packs 64 faulty
-	// machines per word, parallel is the PPSFP baseline.
-	for _, be := range []fault.Backend{fault.BackendParallel, fault.BackendFaultParallel, fault.BackendCPT} {
+	// one good-machine pass per 64-pattern block, parallel is the PPSFP
+	// baseline.
+	for _, be := range []fault.Backend{fault.BackendParallel, fault.BackendCPT} {
 		b.Run("nodrop/"+be.String(), func(b *testing.B) {
 			eng := fault.NewEngine(c, fault.Options{Backend: be, Drop: fault.DropOff})
 			b.ResetTimer()
@@ -368,11 +368,11 @@ func BenchmarkEngineScaling(b *testing.B) {
 			}
 		})
 	}
-	// The SPMF sweet spot is the other corner of Eq. 1: a handful of
-	// patterns against the full fault list (incremental re-grading),
-	// where packing 64 faulty machines per word beats packing patterns.
+	// The other corner of Eq. 1: a handful of patterns against the
+	// full fault list (incremental re-grading), where PPSFP blocks run
+	// nearly empty.
 	few := pats[:8]
-	for _, be := range []fault.Backend{fault.BackendParallel, fault.BackendFaultParallel, fault.BackendCPT} {
+	for _, be := range []fault.Backend{fault.BackendParallel, fault.BackendCPT} {
 		b.Run("fewpats/"+be.String(), func(b *testing.B) {
 			eng := fault.NewEngine(c, fault.Options{Backend: be, Drop: fault.DropOff})
 			b.ResetTimer()
@@ -576,14 +576,14 @@ func BenchmarkCompact(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelInterpVsCompiled is the kernel acceptance benchmark:
+// BenchmarkInterpVsCompiled is the kernel acceptance benchmark:
 // interpreted EvalWordsInterpInto vs the compiled program's word and
 // blocked execution, on three circuit sizes. The reported metric is
 // gate-evaluations per second (len(c.Order) nets × 64 patterns per
 // word pass), so rows are comparable across circuits; the compiled
 // word row must come out ≥ 2× the interp row on the largest circuit.
 // Run via `make bench-sim` to capture BENCH_simkernel.json.
-func BenchmarkKernelInterpVsCompiled(b *testing.B) {
+func BenchmarkInterpVsCompiled(b *testing.B) {
 	const blockW = 8
 	for _, tc := range []struct {
 		name string
@@ -770,7 +770,9 @@ func BenchmarkAblationSimDeductive(b *testing.B) {
 	pats := benchPatterns(c, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mustFaultSim(b, c, cl.Reps, pats, fault.Options{Backend: fault.BackendDeductive})
+		if _, err := fault.SimulateDeductive(context.Background(), c, fault.View{}, cl.Reps, pats); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 )
 
 // cmdFuzz runs the differential fuzzer from the command line: each
-// seed generates a circuit, lints it, and cross-checks every kernel,
-// execution width and fault-simulation backend against the baseline
-// oracle. The first divergence stops the run and prints a replayable
+// seed generates a circuit, lints it, and cross-checks the compiled
+// kernel at every execution width against the interpreter, then every
+// fault-simulation backend and the deductive reference against the
+// baseline oracle. The first divergence stops the run and prints a replayable
 // repro; a clean sweep exits 0.
 func cmdFuzz(args []string) error {
 	fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)

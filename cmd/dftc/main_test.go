@@ -189,15 +189,15 @@ func TestFuzzSeedList(t *testing.T) {
 	}
 }
 
-// TestBadKernelFlagExits checks that a mistyped -kernel value makes the
-// CLI fail with the did-you-mean message instead of silently running
-// the default kernel.
-func TestBadKernelFlagExits(t *testing.T) {
+// TestBadEngineFlagExits checks that a mistyped or removed -engine
+// value makes the CLI fail with the shared did-you-mean message
+// instead of silently running the default backend.
+func TestBadEngineFlagExits(t *testing.T) {
 	bench := writeBench(t, circuits.C17())
-	for _, cmd := range []string{"faultsim", "atpg"} {
-		err := run([]string{cmd, bench, "-kernel", "compield"})
-		if err == nil || !strings.Contains(err.Error(), `did you mean "compiled"`) {
-			t.Fatalf("%s: err = %v, want kernel did-you-mean", cmd, err)
+	for _, engine := range []string{"faultparallel", "cptt"} {
+		err := run([]string{"faultsim", bench, "-engine", engine})
+		if err == nil || !strings.Contains(err.Error(), "did you mean") {
+			t.Fatalf("-engine %s: err = %v, want backend did-you-mean", engine, err)
 		}
 	}
 }

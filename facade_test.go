@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dft/internal/circuits"
+	"dft/internal/fault"
 )
 
 func TestFacadeSimulate(t *testing.T) {
@@ -33,23 +34,31 @@ func TestFacadeSimulate(t *testing.T) {
 	if base.Coverage() <= 0.5 {
 		t.Fatalf("implausible coverage %.3f", base.Coverage())
 	}
+	// The deductive reference shares no code with the engine, so it
+	// checks the façade's grades independently.
+	ref, err := fault.SimulateDeductive(context.Background(), c, SimView{}, faults, pats)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, opts := range []SimOptions{
 		{Backend: BackendParallel, Workers: 4},
 		{Backend: BackendSerial},
-		{Backend: BackendDeductive, Drop: DropOff},
+		{Backend: BackendCPT, Drop: DropOff},
 		{Backend: BackendAuto, Workers: WorkersAuto},
 	} {
 		got, err := Simulate(context.Background(), c, faults, pats, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", opts.Backend, err)
 		}
-		if got.NumCaught != base.NumCaught {
-			t.Fatalf("%v: caught %d, want %d", opts.Backend, got.NumCaught, base.NumCaught)
-		}
-		for i := range faults {
-			if got.DetectedBy[i] != base.DetectedBy[i] {
-				t.Fatalf("%v fault %d: DetectedBy %d, want %d",
-					opts.Backend, i, got.DetectedBy[i], base.DetectedBy[i])
+		for name, want := range map[string]*SimResult{"base": base, "deductive": ref} {
+			if got.NumCaught != want.NumCaught {
+				t.Fatalf("%v: caught %d, %s %d", opts.Backend, got.NumCaught, name, want.NumCaught)
+			}
+			for i := range faults {
+				if got.DetectedBy[i] != want.DetectedBy[i] {
+					t.Fatalf("%v fault %d: DetectedBy %d, %s %d",
+						opts.Backend, i, got.DetectedBy[i], name, want.DetectedBy[i])
+				}
 			}
 		}
 	}

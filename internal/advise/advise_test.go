@@ -263,6 +263,16 @@ func TestAdviseTelemetry(t *testing.T) {
 	}
 }
 
+// One Run is one advise.run observation: the run's span observes the
+// same-named timer when it ends, and nothing else times the run.
+func TestAdviseRunTimedOnce(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	runHardcore(t, Options{Target: 0.99, Seed: 7, Metrics: reg})
+	if got := reg.Snapshot().Timers["advise.run"].Count; got != 1 {
+		t.Fatalf("advise.run timer count = %d after one Run, want 1", got)
+	}
+}
+
 func TestDeriveSeedStable(t *testing.T) {
 	if deriveSeed(1, 0) == deriveSeed(1, 1) {
 		t.Fatal("consecutive derived seeds collide")

@@ -95,7 +95,12 @@ func (d *Design) Analyze(k int) (testability.Summary, []testability.NetReport) {
 
 // ApplyScan converts the design to the given scan style. The original
 // circuit is retained; test generation switches to the full-scan view.
+// A scan style needs storage elements to chain, so a combinational
+// design gets an error rather than a scan view.
 func (d *Design) ApplyScan(style Style) error {
+	if style != StyleNone && d.Circuit.NumDFFs() == 0 {
+		return fmt.Errorf("core: scan needs storage elements, and %s has no flip-flops", d.Circuit.Name)
+	}
 	switch style {
 	case StyleLSSD:
 		d.scan = lssd.NewDesign(d.Circuit, lssd.StyleLSSD)
@@ -146,9 +151,6 @@ type GenerateOptions struct {
 	RandomFirst   int
 	MaxBacktracks int
 	Seed          int64
-	// Compact is the legacy on/off switch, equivalent to CompactMode =
-	// compact.ModeReverse; CompactMode wins when both are set.
-	Compact bool
 	// CompactMode selects the compaction pipeline (off / reverse /
 	// static / dynamic / full) run on the generated set.
 	CompactMode compact.Mode
@@ -178,10 +180,6 @@ func (d *Design) GenerateContext(ctx context.Context, opt GenerateOptions) (Test
 	span.SetDetail(d.Circuit.Name)
 	defer span.End()
 	targets := d.Faults()
-	mode := opt.CompactMode
-	if mode == compact.ModeOff && opt.Compact {
-		mode = compact.ModeReverse
-	}
 	res, err := atpg.GenerateContext(ctx, d.Circuit, d.View(), targets, atpg.Config{
 		Engine:        opt.Engine,
 		MaxBacktracks: opt.MaxBacktracks,
@@ -189,7 +187,7 @@ func (d *Design) GenerateContext(ctx context.Context, opt GenerateOptions) (Test
 		RandomFirst:   opt.RandomFirst,
 		Rand:          opt.Rand,
 		Workers:       opt.Workers,
-		Dynamic:       mode.Dynamic(),
+		Dynamic:       opt.CompactMode.Dynamic(),
 		Metrics:       opt.Metrics,
 	})
 	if err != nil {
@@ -202,9 +200,9 @@ func (d *Design) GenerateContext(ctx context.Context, opt GenerateOptions) (Test
 		Aborted:    len(res.Aborted),
 		TargetN:    len(targets),
 	}
-	if mode.Enabled() {
+	if opt.CompactMode.Enabled() {
 		st, err := compact.Result(ctx, d.Circuit, d.View(), targets, res, compact.Options{
-			Mode:    mode,
+			Mode:    opt.CompactMode,
 			Workers: opt.Workers,
 			Rand:    opt.Rand,
 			Seed:    opt.Seed,

@@ -6,6 +6,7 @@ import (
 
 	"dft/internal/atpg"
 	"dft/internal/circuits"
+	"dft/internal/compact"
 )
 
 const c17Bench = `
@@ -92,6 +93,18 @@ func TestApplyScanStyles(t *testing.T) {
 	if StyleLSSD.String() != "lssd" || StyleNone.String() != "none" {
 		t.Fatal("style names")
 	}
+	// A combinational design has nothing to chain: every scan style is
+	// an error naming the problem, not a panic, and the design keeps
+	// its primary view.
+	comb := FromCircuit(circuits.C17())
+	for _, s := range []Style{StyleLSSD, StyleMuxScan} {
+		if err := comb.ApplyScan(s); err == nil || !strings.Contains(err.Error(), "no flip-flops") {
+			t.Fatalf("style %v on c17: err = %v, want no-flip-flops error", s, err)
+		}
+	}
+	if comb.Scan() != nil || comb.Style != StyleNone {
+		t.Fatal("failed ApplyScan changed the design")
+	}
 }
 
 func TestRandomTestsAndFaultGrade(t *testing.T) {
@@ -108,7 +121,7 @@ func TestRandomTestsAndFaultGrade(t *testing.T) {
 func TestGenerateCompaction(t *testing.T) {
 	d := FromCircuit(circuits.RippleAdder(5))
 	full := d.Generate(GenerateOptions{Engine: atpg.EnginePodem, RandomFirst: 256, Seed: 1})
-	compact := d.Generate(GenerateOptions{Engine: atpg.EnginePodem, RandomFirst: 256, Seed: 1, Compact: true})
+	compact := d.Generate(GenerateOptions{Engine: atpg.EnginePodem, RandomFirst: 256, Seed: 1, CompactMode: compact.ModeReverse})
 	if len(compact.Patterns) > len(full.Patterns) {
 		t.Fatalf("compaction grew set: %d -> %d", len(full.Patterns), len(compact.Patterns))
 	}

@@ -223,13 +223,20 @@ func (ds *DeductiveSim) effectivePin(dst []uint64, gate, pin, src int) {
 	ds.setBit(dst, Fault{gate, pin, logic.FromBool(!ds.vals[src])})
 }
 
-// runDeductive is the engine's deductive backend: one deductive pass
-// per pattern (no dropping — every pattern is fully processed, since a
-// pass carries all fault lists at once), with cancellation checked
-// between patterns.
-func runDeductive(ctx context.Context, c *logic.Circuit, inputs, outputs []int,
-	faults []Fault, patterns [][]bool, reg *telemetry.Registry) (*Result, error) {
+// SimulateDeductive grades the pattern set against the fault list with
+// the deductive simulator: one interpreted pass per pattern carrying
+// every fault list at once, so it shares no code with the engine's
+// backends or the compiled kernel. It is the independent reference the
+// cross-oracle matrix and the façade tests hold Simulate to, like
+// sim.EvalInterpInto for the good machine; Result matches Simulate's
+// under the same view. Every pattern is fully processed (a pass
+// carries all fault lists, so dropping saves nothing), with
+// cancellation checked between patterns; it reports to
+// telemetry.Default().
+func SimulateDeductive(ctx context.Context, c *logic.Circuit, view View, faults []Fault, patterns [][]bool) (*Result, error) {
+	reg := telemetry.Default()
 	defer reg.Timer("fault.sim.deductive").Time()()
+	inputs, outputs := view.resolve(c)
 	ds := NewDeductiveSimView(c, inputs, outputs, faults)
 	res := newResult(faults, len(patterns))
 	for pi, p := range patterns {

@@ -31,7 +31,7 @@ func TestDeductiveMatchesParallel(t *testing.T) {
 			}
 			patterns[k] = p
 		}
-		ded, err := Simulate(context.Background(), c, u, patterns, Options{Backend: BackendDeductive})
+		ded, err := SimulateDeductive(context.Background(), c, View{}, u, patterns)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,8 +130,7 @@ func BenchmarkDeductiveVsParallel(b *testing.B) {
 	}
 	b.Run("deductive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Simulate(context.Background(), c, u, patterns,
-				Options{Backend: BackendDeductive}); err != nil {
+			if _, err := SimulateDeductive(context.Background(), c, View{}, u, patterns); err != nil {
 				b.Fatal(err)
 			}
 		}

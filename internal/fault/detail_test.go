@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"dft/internal/circuits"
+	"dft/internal/logic"
+	"dft/internal/telemetry"
 )
 
 func randomDetailPatterns(nIn, n int, seed int64) [][]bool {
@@ -51,7 +53,7 @@ func TestRunDetailMatchesSerialOracle(t *testing.T) {
 		}
 	}
 
-	for _, be := range []Backend{BackendParallel, BackendFaultParallel, BackendCPT, BackendSerial} {
+	for _, be := range []Backend{BackendParallel, BackendCPT, BackendSerial} {
 		t.Run(be.String(), func(t *testing.T) {
 			e := NewEngine(c, Options{Backend: be, Workers: 2})
 			dr, err := e.RunDetail(context.Background(), faults, packed)
@@ -83,7 +85,7 @@ func TestRunDetailWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range []Backend{BackendParallel, BackendFaultParallel, BackendCPT} {
+	for _, be := range []Backend{BackendParallel, BackendCPT} {
 		for _, w := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%v/w%d", be, w), func(t *testing.T) {
 				dr, err := NewEngine(c, Options{Backend: be, Workers: w}).
@@ -134,13 +136,61 @@ func TestDetailResultFold(t *testing.T) {
 	}
 }
 
+// TestRunDetailSpanBackend pins Auto's detail-path choice and the span
+// label: Auto resolves only to a path RunDetail has (cpt or parallel),
+// an explicit serial request runs the parallel path, and the span's
+// backend attribute names the path that ran. The shapes are the
+// smallest and largest of the dictionary builds that dftd diagnose
+// jobs run.
+func TestRunDetailSpanBackend(t *testing.T) {
+	c17, alu := circuits.C17(), circuits.ALU74181()
+	for _, tc := range []struct {
+		name    string
+		c       *logic.Circuit
+		backend Backend
+		faults  int
+		pats    int
+		want    string
+	}{
+		{"c17 22x7 auto", c17, Auto, 22, 7, "parallel"},
+		{"alu 194x8 auto", alu, Auto, 194, 8, "cpt"},
+		{"alu 194x64 auto", alu, Auto, 194, 64, "parallel"},
+		{"c17 22x7 serial", c17, BackendSerial, 22, 7, "parallel"},
+		{"c17 22x7 cpt", c17, BackendCPT, 22, 7, "cpt"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faults := Universe(tc.c)
+			if len(faults) < tc.faults {
+				t.Fatalf("%s has %d faults, want at least %d", tc.c.Name, len(faults), tc.faults)
+			}
+			faults = faults[:tc.faults]
+			reg := telemetry.NewRegistry()
+			pats := randomDetailPatterns(len(tc.c.PIs), tc.pats, 5)
+			if _, err := SimulateDetail(context.Background(), tc.c, faults, pats,
+				Options{Backend: tc.backend, Workers: 1, Metrics: reg}); err != nil {
+				t.Fatal(err)
+			}
+			events, _ := reg.Trace().Events()
+			var got []string
+			for _, e := range events {
+				if e.Name == "fault.sim.detail" {
+					got = append(got, e.Attrs["backend"])
+				}
+			}
+			if len(got) != 1 || got[0] != tc.want {
+				t.Fatalf("detail span backend = %v, want [%s]", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestRunDetailCancellation(t *testing.T) {
 	c := circuits.ArrayMultiplier(4)
 	faults := Universe(c)
 	pats := randomDetailPatterns(len(c.PIs), 256, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, be := range []Backend{BackendParallel, BackendFaultParallel, BackendCPT} {
+	for _, be := range []Backend{BackendParallel, BackendCPT} {
 		if _, err := SimulateDetail(ctx, c, faults, pats, Options{Backend: be}); err == nil {
 			t.Fatalf("%v: cancelled detail run returned no error", be)
 		}

@@ -71,13 +71,18 @@ func TestEngineBackendAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range []Backend{BackendSerial, BackendDeductive, BackendFaultParallel, BackendCPT, Auto} {
+	for _, be := range []Backend{BackendSerial, BackendCPT, Auto} {
 		got, err := Simulate(context.Background(), c, faults, pats, Options{Backend: be})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameResult(t, be.String(), got, base)
 	}
+	ded, err := SimulateDeductive(context.Background(), c, View{}, faults, pats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "deductive", ded, base)
 }
 
 // The serial backend must mirror the PPSFP view conventions on scan
@@ -111,11 +116,14 @@ func TestEngineCancellation(t *testing.T) {
 	pats := enginePatterns(len(c.PIs), 256, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, be := range []Backend{BackendParallel, BackendSerial, BackendDeductive, BackendFaultParallel, BackendCPT} {
+	for _, be := range []Backend{BackendParallel, BackendSerial, BackendCPT} {
 		res, err := Simulate(ctx, c, faults, pats, Options{Backend: be, Workers: 4})
 		if err == nil || res != nil {
 			t.Fatalf("%s: want cancellation error, got res=%v err=%v", be, res, err)
 		}
+	}
+	if res, err := SimulateDeductive(ctx, c, View{}, faults, pats); err == nil || res != nil {
+		t.Fatalf("deductive: want cancellation error, got res=%v err=%v", res, err)
 	}
 }
 
@@ -216,42 +224,51 @@ func TestEngineShardTelemetry(t *testing.T) {
 }
 
 func TestParseBackendRoundTrip(t *testing.T) {
-	for _, be := range []Backend{Auto, BackendParallel, BackendDeductive, BackendSerial, BackendFaultParallel, BackendCPT} {
+	for _, be := range []Backend{Auto, BackendParallel, BackendSerial, BackendCPT} {
 		got, err := ParseBackend(be.String())
 		if err != nil || got != be {
 			t.Fatalf("round trip %v: got %v err %v", be, got, err)
 		}
 	}
-	if _, err := ParseBackend("nope"); err == nil {
-		t.Fatal("want error for unknown backend")
+	// Names of removed backends get the shared did-you-mean error.
+	for in, want := range map[string]string{
+		"nope":          `fault: unknown backend "nope" (want auto, serial, parallel or cpt)`,
+		"deductive":     `fault: unknown backend "deductive" (want auto, serial, parallel or cpt)`,
+		"faultparallel": `fault: unknown backend "faultparallel" (did you mean "parallel"? want auto, serial, parallel or cpt)`,
+		"paralel":       `fault: unknown backend "paralel" (did you mean "parallel"? want auto, serial, parallel or cpt)`,
+	} {
+		if _, err := ParseBackend(in); err == nil || err.Error() != want {
+			t.Errorf("ParseBackend(%q) err = %v, want %s", in, err, want)
+		}
 	}
 }
 
-// Auto must never hand a sequential circuit to the deductive backend
-// and must agree with parallel outcomes regardless of what it picks.
+// Auto resolves to exactly three outcomes: serial for tiny jobs, cpt
+// for fault-heavy no-drop gradings, parallel for everything else. The
+// 194x8 and 211x16 rows are the alu74181 and adder(8) dictionary
+// builds that dftd diagnose jobs run.
 func TestEngineAutoHeuristic(t *testing.T) {
-	if be := pickBackend(circuits.C17(), 4, 4, true); be != BackendSerial {
-		t.Fatalf("tiny job picked %v", be)
-	}
-	comb := circuits.RippleAdder(8)
-	// Large no-drop gradings go to the observability backend; the
-	// deductive simulator keeps only the small combinational window.
-	if be := pickBackend(comb, 4096, 64, false); be != BackendCPT {
-		t.Fatalf("no-drop fault-heavy job picked %v", be)
-	}
-	if be := pickBackend(comb, 1024, 32, false); be != BackendDeductive {
-		t.Fatalf("small no-drop combinational job picked %v", be)
-	}
-	seq := circuits.Counter(8)
-	if be := pickBackend(seq, 1024, 32, false); be == BackendDeductive {
-		t.Fatal("deductive picked for a sequential circuit")
-	}
-	// Pattern-starved fault-heavy gradings go fault-parallel.
-	if be := pickBackend(comb, 1024, 8, true); be != BackendFaultParallel {
-		t.Fatalf("pattern-starved job picked %v", be)
-	}
-	if be := pickBackend(comb, 4096, 4096, true); be != BackendParallel {
-		t.Fatalf("dropping bulk job picked %v", be)
+	for _, tc := range []struct {
+		faults, pats int
+		drop         DropMode
+		want         Backend
+	}{
+		{4, 4, DropOn, BackendSerial},
+		{22, 7, DropOff, BackendSerial},
+		{64, 8, DropOn, BackendSerial},
+		{194, 8, DropOff, BackendCPT},
+		{211, 16, DropOff, BackendCPT},
+		{1024, 32, DropOff, BackendCPT},
+		{4096, 64, DropOff, BackendCPT},
+		{194, 8, DropOn, BackendParallel},
+		{1024, 8, DropOn, BackendParallel},
+		{1024, 512, DropOff, BackendParallel},
+		{4096, 4096, DropOn, BackendParallel},
+	} {
+		if got := pickBackend(tc.faults, tc.pats, tc.drop == DropOn); got != tc.want {
+			t.Errorf("pickBackend(%d faults, %d patterns, drop=%v) = %v, want %v",
+				tc.faults, tc.pats, tc.drop == DropOn, got, tc.want)
+		}
 	}
 }
 
@@ -266,7 +283,12 @@ func TestAllBackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range []Backend{BackendSerial, BackendDeductive, BackendFaultParallel, BackendCPT, Auto} {
+	ded, err := SimulateDeductive(context.Background(), c, View{}, faults, pats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "deductive", ded, want)
+	for _, be := range []Backend{BackendSerial, BackendCPT, Auto} {
 		for _, drop := range []DropMode{DropOn, DropOff} {
 			got, err := Simulate(context.Background(), c, faults, pats,
 				Options{Backend: be, Drop: drop})
@@ -293,7 +315,7 @@ func TestEnginePartialViewAgreement(t *testing.T) {
 	for _, opts := range []Options{
 		{Backend: BackendParallel, Workers: 4, View: view},
 		{Backend: BackendSerial, View: view},
-		{Backend: BackendDeductive, View: view},
+		{Backend: BackendCPT, View: view},
 	} {
 		got, err := Simulate(context.Background(), c, faults, pats, opts)
 		if err != nil {
@@ -301,6 +323,11 @@ func TestEnginePartialViewAgreement(t *testing.T) {
 		}
 		sameResult(t, opts.Backend.String(), got, base)
 	}
+	ded, err := SimulateDeductive(context.Background(), c, view, faults, pats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "deductive", ded, base)
 }
 
 func TestEngineDFFBranchFaultSerial(t *testing.T) {

@@ -11,14 +11,15 @@ import (
 )
 
 // FuzzBackendEquivalence requires every fault-simulation configuration
-// (backend × workers × drop × kernel) to report identical detection
-// outcomes on a seed-generated circuit's collapsed fault list.
+// (backend × workers × drop, plus the deductive reference) to report
+// identical detection outcomes on a seed-generated circuit's collapsed
+// fault list.
 //
 // Run: go test -fuzz=FuzzBackendEquivalence -fuzztime=10s ./internal/fault
 func FuzzBackendEquivalence(f *testing.F) {
 	// 116 generates a 5-DFF sequential netlist and 142 a large
-	// tie-heavy combinational one — the shapes that stress the
-	// fault-parallel grouping and cpt observability chain cells.
+	// tie-heavy combinational one — the shapes that stress the cpt
+	// observability chain cells.
 	for _, seed := range []int64{1, 2, 5, 11, 42, -8, 116, 142} {
 		f.Add(seed)
 	}

@@ -6,50 +6,31 @@ import (
 	"testing"
 
 	"dft/internal/circuits"
-	"dft/internal/sim"
 )
 
-// withKernel runs fn under the given kernel default, restoring the
-// previous selection afterwards. Kernel-toggling tests must not run in
-// parallel with each other.
-func withKernel(k sim.Kernel, fn func()) {
-	prev := sim.SetDefaultKernel(k)
-	defer sim.SetDefaultKernel(prev)
-	fn()
-}
-
-// TestKernelInvariance is the cross-kernel acceptance criterion:
-// fault.Simulate produces byte-identical Results under the interpreted
-// and compiled kernels, at every worker count, on every backend,
+// TestKernelInvariance is the cross-kernel acceptance criterion: every
+// backend, which runs its good machine through the compiled kernel,
+// produces Results byte-identical to the deductive reference, which
+// interprets the netlist gate by gate — at every worker count,
 // dropping or not.
 func TestKernelInvariance(t *testing.T) {
 	c := circuits.ArrayMultiplier(5)
 	faults := CollapseEquiv(c, Universe(c)).Reps
 	pats := enginePatterns(len(c.PIs), 200, 23)
-	for _, be := range []Backend{BackendSerial, BackendParallel, BackendDeductive, BackendFaultParallel, BackendCPT} {
+	base, err := SimulateDeductive(context.Background(), c, View{}, faults, pats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, be := range []Backend{BackendSerial, BackendParallel, BackendCPT} {
 		for _, drop := range []DropMode{DropOn, DropOff} {
-			if be == BackendDeductive && drop == DropOn {
-				continue // deductive backend is no-drop only
-			}
-			var base *Result
-			withKernel(sim.KernelInterp, func() {
-				var err error
-				base, err = Simulate(context.Background(), c, faults, pats,
-					Options{Backend: be, Workers: 1, Drop: drop})
+			for _, w := range []int{1, 2, 4, 8} {
+				got, err := Simulate(context.Background(), c, faults, pats,
+					Options{Backend: be, Workers: w, Drop: drop})
 				if err != nil {
 					t.Fatal(err)
 				}
-			})
-			for _, w := range []int{1, 2, 4, 8} {
-				withKernel(sim.KernelCompiled, func() {
-					got, err := Simulate(context.Background(), c, faults, pats,
-						Options{Backend: be, Workers: w, Drop: drop})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameResult(t, fmt.Sprintf("backend=%v kernel=compiled workers=%d drop=%v", be, w, drop), got, base)
-				})
-				if be == BackendSerial || be == BackendDeductive {
+				sameResult(t, fmt.Sprintf("backend=%v workers=%d drop=%v", be, w, drop), got, base)
+				if be == BackendSerial {
 					break // worker count only matters on the sharded paths
 				}
 			}
@@ -67,7 +48,7 @@ func TestRunPackedMatchesRun(t *testing.T) {
 	if packed.NumPatterns() != len(pats) {
 		t.Fatalf("packed %d patterns, want %d", packed.NumPatterns(), len(pats))
 	}
-	for _, be := range []Backend{BackendSerial, BackendParallel, BackendFaultParallel, BackendCPT} {
+	for _, be := range []Backend{BackendSerial, BackendParallel, BackendCPT} {
 		want, err := Simulate(context.Background(), c, faults, pats, Options{Backend: be})
 		if err != nil {
 			t.Fatal(err)
@@ -139,40 +120,36 @@ func TestAppendEnumMatchesScalar(t *testing.T) {
 }
 
 // TestSessionKernelInvariance re-checks the ATPG grading path: a
-// session's incremental blocks drop the same faults under both kernels.
+// session's incremental blocks, graded through the compiled kernel,
+// drop exactly the faults the interpreting deductive reference
+// detects, block by block.
 func TestSessionKernelInvariance(t *testing.T) {
 	c := circuits.ALU74181()
 	faults := CollapseEquiv(c, Universe(c)).Reps
 	pats := enginePatterns(len(c.PIs), 192, 9)
-	type outcome struct {
-		detected []bool
-		useful   []uint64
-		caught   int
+	ref, err := SimulateDeductive(context.Background(), c, View{}, faults, pats)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func() outcome {
-		e := NewEngine(c, Options{Workers: 4, Drop: DropOn})
-		s := e.NewSession(faults)
-		o := outcome{detected: make([]bool, len(faults))}
-		for base := 0; base < len(pats); base += 64 {
-			o.useful = append(o.useful, s.ApplyBlock(pats[base:base+64], o.detected))
+	s := NewEngine(c, Options{Workers: 4, Drop: DropOn}).NewSession(faults)
+	detected := make([]bool, len(faults))
+	for base := 0; base < len(pats); base += 64 {
+		var want uint64
+		for _, by := range ref.DetectedBy {
+			if by >= base && by < base+64 {
+				want |= 1 << uint(by-base)
+			}
 		}
-		o.caught = s.Caught()
-		return o
-	}
-	var interp, compiled outcome
-	withKernel(sim.KernelInterp, func() { interp = run() })
-	withKernel(sim.KernelCompiled, func() { compiled = run() })
-	if interp.caught != compiled.caught {
-		t.Fatalf("caught %d interp vs %d compiled", interp.caught, compiled.caught)
-	}
-	for i := range interp.detected {
-		if interp.detected[i] != compiled.detected[i] {
-			t.Fatalf("fault %d: interp %v compiled %v", i, interp.detected[i], compiled.detected[i])
+		if got := s.ApplyBlock(pats[base:base+64], detected); got != want {
+			t.Fatalf("block %d useful mask: session %#x, deductive first detectors %#x", base/64, got, want)
 		}
 	}
-	for b := range interp.useful {
-		if interp.useful[b] != compiled.useful[b] {
-			t.Fatalf("block %d useful mask: %#x vs %#x", b, interp.useful[b], compiled.useful[b])
+	if s.Caught() != ref.NumCaught {
+		t.Fatalf("session caught %d, deductive %d", s.Caught(), ref.NumCaught)
+	}
+	for i := range faults {
+		if detected[i] != ref.Detected[i] {
+			t.Fatalf("fault %d: session %v, deductive %v", i, detected[i], ref.Detected[i])
 		}
 	}
 }

@@ -33,7 +33,7 @@ func CheckCompaction(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 	}
 	view := atpg.PrimaryView(c)
 	base := Baseline()
-	want, err := runConfig(ctx, c, faults, pats, base)
+	want, err := runConfig(ctx, c, fault.View{}, faults, pats, base)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,7 @@ func CheckCompaction(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 		return compactDivergence(c, seed, pats,
 			fmt.Sprintf("reverse replay is worker-dependent: %d patterns at workers=1, %d at workers=4", len(kept), len(kept4))), nil
 	}
-	got, err := runConfig(ctx, c, faults, kept, base)
+	got, err := runConfig(ctx, c, fault.View{}, faults, kept, base)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func CheckCompaction(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 		return compactDivergence(c, seed, keptS,
 			fmt.Sprintf("static merge lost coverage: detected %d -> %d", stS.DetectedIn, stS.DetectedOut)), nil
 	}
-	gotS, err := runConfig(ctx, c, faults, keptS, base)
+	gotS, err := runConfig(ctx, c, fault.View{}, faults, keptS, base)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func CheckDictionary(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 	if len(faults) == 0 || len(pats) == 0 {
 		return nil, nil
 	}
-	want, err := runConfig(ctx, c, faults, pats, Baseline())
+	want, err := runConfig(ctx, c, fault.View{}, faults, pats, Baseline())
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +71,6 @@ func CheckDictionary(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 		w  int
 	}{
 		{fault.BackendParallel, 4},
-		{fault.BackendFaultParallel, 2},
 		{fault.BackendCPT, 4},
 	} {
 		other, err := diagnose.Build(ctx, c, faults, pats, diagnose.Options{Backend: cfg.be, Workers: cfg.w})

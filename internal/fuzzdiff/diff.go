@@ -18,70 +18,72 @@ var (
 )
 
 // SimConfig pins one cell of the cross-oracle matrix: which
-// good-machine kernel is active, which fault-simulation backend runs,
-// at what sharding degree, and whether faults drop after first
-// detection. Every cell must produce byte-identical Results on the
-// same circuit/fault-list/pattern-set.
+// fault-simulation backend runs, at what sharding degree, and whether
+// faults drop after first detection — or, with Deductive set, the
+// independent deductive reference (fault.SimulateDeductive), which
+// ignores the other fields. Every cell must produce byte-identical
+// Results on the same circuit/fault-list/pattern-set.
 type SimConfig struct {
-	Kernel  sim.Kernel
-	Backend fault.Backend
-	Workers int
-	Drop    fault.DropMode
+	Backend   fault.Backend
+	Workers   int
+	Drop      fault.DropMode
+	Deductive bool
 }
 
 // String renders the config the way repros and test failures name it.
 func (sc SimConfig) String() string {
+	if sc.Deductive {
+		return "reference=deductive"
+	}
 	drop := "on"
 	if sc.Drop == fault.DropOff {
 		drop = "off"
 	}
-	return fmt.Sprintf("kernel=%v backend=%v workers=%d drop=%s", sc.Kernel, sc.Backend, sc.Workers, drop)
+	return fmt.Sprintf("backend=%v workers=%d drop=%s", sc.Backend, sc.Workers, drop)
 }
 
-// Baseline is the reference cell: interpreted kernel, serial backend,
-// one worker, dropping on — the most literal implementation of the
-// paper's one-good-machine/one-faulty-machine-per-pattern model.
+// Baseline is the reference cell: serial backend, one worker, dropping
+// on — the most literal implementation of the paper's
+// one-good-machine/one-faulty-machine-per-pattern model.
 func Baseline() SimConfig {
-	return SimConfig{Kernel: sim.KernelInterp, Backend: fault.BackendSerial, Workers: 1, Drop: fault.DropOn}
+	return SimConfig{Backend: fault.BackendSerial, Workers: 1, Drop: fault.DropOn}
 }
 
-// Matrix enumerates the configurations CheckBackends sweeps: both
-// kernels crossed with the serial backend (both drop modes), the
-// parallel, fault-parallel and critical-path-tracing backends at
-// several worker counts (both drop modes — fault-parallel and cpt
-// shard over patterns, so their worker cells also pin the min-merge
-// of per-worker first detections), and the deductive backend
-// (inherently no-drop). Detection outcomes are defined to be
-// drop-invariant, so drop-on cells are compared against the same
-// baseline as drop-off cells.
+// Matrix enumerates the configurations CheckBackends sweeps: the
+// serial backend, the parallel and critical-path-tracing backends at
+// several worker counts (cpt shards over patterns, so its worker cells
+// also pin the min-merge of per-worker first detections), all in both
+// drop modes, plus the deductive reference. Detection outcomes are
+// defined to be drop-invariant, so drop-on cells are compared against
+// the same baseline as drop-off cells. The good-machine kernel is not
+// an axis: Round checks the compiled kernel against the interpreter
+// net by net (CheckKernels) before it sweeps the matrix, and the
+// deductive reference never runs the compiled kernel at all.
 func Matrix() []SimConfig {
 	var m []SimConfig
-	for _, k := range []sim.Kernel{sim.KernelInterp, sim.KernelCompiled} {
-		for _, drop := range []fault.DropMode{fault.DropOn, fault.DropOff} {
-			m = append(m, SimConfig{k, fault.BackendSerial, 1, drop})
-			for _, w := range []int{1, 2, 5} {
-				m = append(m, SimConfig{k, fault.BackendParallel, w, drop})
-			}
-			for _, w := range []int{1, 4} {
-				m = append(m, SimConfig{k, fault.BackendFaultParallel, w, drop})
-				m = append(m, SimConfig{k, fault.BackendCPT, w, drop})
-			}
+	for _, drop := range []fault.DropMode{fault.DropOn, fault.DropOff} {
+		m = append(m, SimConfig{Backend: fault.BackendSerial, Workers: 1, Drop: drop})
+		for _, w := range []int{1, 2, 5} {
+			m = append(m, SimConfig{Backend: fault.BackendParallel, Workers: w, Drop: drop})
 		}
-		m = append(m, SimConfig{k, fault.BackendDeductive, 1, fault.DropOff})
+		for _, w := range []int{1, 4} {
+			m = append(m, SimConfig{Backend: fault.BackendCPT, Workers: w, Drop: drop})
+		}
 	}
-	return m
+	return append(m, SimConfig{Deductive: true})
 }
 
-// runConfig executes one cell: the process-wide kernel is switched for
-// the duration of the run (engines snapshot the active kernel when
-// they build their simulators) and restored afterwards.
-func runConfig(ctx context.Context, c *logic.Circuit, faults []fault.Fault, pats [][]bool, sc SimConfig) (*fault.Result, error) {
-	prev := sim.SetDefaultKernel(sc.Kernel)
-	defer sim.SetDefaultKernel(prev)
+// runConfig executes one cell under the given tester view (the zero
+// view is the primary one).
+func runConfig(ctx context.Context, c *logic.Circuit, view fault.View, faults []fault.Fault, pats [][]bool, sc SimConfig) (*fault.Result, error) {
+	if sc.Deductive {
+		return fault.SimulateDeductive(ctx, c, view, faults, pats)
+	}
 	return fault.Simulate(ctx, c, faults, pats, fault.Options{
 		Backend: sc.Backend,
 		Workers: sc.Workers,
 		Drop:    sc.Drop,
+		View:    view,
 	})
 }
 
@@ -328,7 +330,7 @@ func extractBit(piW, stW []uint64, bit int) (pi, st []bool) {
 // shortest pattern prefix) and returned; nil means all cells agree.
 func CheckBackends(ctx context.Context, c *logic.Circuit, faults []fault.Fault, pats [][]bool, seed int64) (*Divergence, error) {
 	base := Baseline()
-	want, err := runConfig(ctx, c, faults, pats, base)
+	want, err := runConfig(ctx, c, fault.View{}, faults, pats, base)
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +338,7 @@ func CheckBackends(ctx context.Context, c *logic.Circuit, faults []fault.Fault, 
 		if sc == base {
 			continue
 		}
-		got, err := runConfig(ctx, c, faults, pats, sc)
+		got, err := runConfig(ctx, c, fault.View{}, faults, pats, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -376,8 +378,8 @@ func firstResultDiff(a, b *fault.Result) int {
 // diverges reruns the config pair on a candidate reduction and reports
 // whether the disagreement survives.
 func (d *Divergence) diverges(ctx context.Context, faults []fault.Fault, pats [][]bool) bool {
-	a, errA := runConfig(ctx, d.Circuit, faults, pats, d.Base)
-	b, errB := runConfig(ctx, d.Circuit, faults, pats, d.Other)
+	a, errA := runConfig(ctx, d.Circuit, fault.View{}, faults, pats, d.Base)
+	b, errB := runConfig(ctx, d.Circuit, fault.View{}, faults, pats, d.Other)
 	if errA != nil || errB != nil {
 		return false
 	}

@@ -127,12 +127,12 @@ func TestMatrixShape(t *testing.T) {
 			t.Fatalf("duplicate cell %s", sc)
 		}
 		seen[sc.String()] = true
-		if sc.Backend == fault.BackendDeductive && sc.Drop != fault.DropOff {
-			t.Fatalf("deductive cell must be no-drop: %s", sc)
-		}
 	}
 	if !seen[Baseline().String()] {
 		t.Fatal("matrix must contain the baseline cell")
+	}
+	if !seen[(SimConfig{Deductive: true}).String()] {
+		t.Fatal("matrix must contain the deductive reference cell")
 	}
 }
 
@@ -148,7 +148,7 @@ func TestRandomPatternsDeterministic(t *testing.T) {
 
 // TestRoundCleanTree is the clean-tree acceptance check in miniature:
 // a spread of seeds, combinational and sequential, must produce zero
-// divergences across the whole kernel/backend matrix.
+// divergences across the kernel check and the whole backend matrix.
 func TestRoundCleanTree(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		if d := Round(ShapeConfig(seed), seed, RoundOptions{Patterns: 48, Vectors: 6}); d != nil {

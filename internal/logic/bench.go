@@ -98,6 +98,9 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 		if _, dup := ids[in]; dup {
 			return nil, fmt.Errorf("bench %s: input %q declared twice", name, in)
 		}
+		if pg, def := defs[in]; def {
+			return nil, fmt.Errorf("bench %s:%d: net %q is declared an input and also driven by %v", name, pg.line, in, pg.typ)
+		}
 		ids[in] = c.AddInput(in)
 	}
 	// Define gates in dependency order: DFF outputs first (they may be

@@ -76,6 +76,8 @@ func TestParseBenchErrors(t *testing.T) {
 		{"cycle", "INPUT(a)\np = AND(a, q)\nq = AND(a, p)\nOUTPUT(q)", "cycle"},
 		{"noassign", "INPUT(a)\ngarbage line\n", "assignment"},
 		{"dffarity", "INPUT(a)\nINPUT(b)\nq = DFF(a, b)\nOUTPUT(q)", "exactly one"},
+		{"inputredef", "INPUT(q)\nq=DFF(0)", `net "q" is declared an input and also driven by DFF`},
+		{"inputgate", "INPUT(a)\nINPUT(q)\nq = NOT(a)\nOUTPUT(q)", `net "q" is declared an input`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

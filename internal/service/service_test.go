@@ -472,10 +472,30 @@ func TestServiceValidation(t *testing.T) {
 			Options: Options{Signature: "0101"}},
 		"bad bench": {Kind: KindFaultSim,
 			Bench: "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n"},
+		"input redefined": {Kind: KindFaultSim, Bench: "INPUT(q)\nq=DFF(0)"},
 	} {
 		_, code, e := postJob(t, ts.URL, req)
 		if code != http.StatusBadRequest || e.Error == "" {
 			t.Errorf("%s: status %d body %+v, want 400 + error", name, code, e)
+		}
+	}
+
+	// Removed backends are rejected at admission with the shared
+	// did-you-mean error, on every kind that takes a backend.
+	for _, tc := range []struct {
+		req  JobRequest
+		want string
+	}{
+		{JobRequest{Kind: KindFaultSim, Builtin: "c17", Options: Options{Backend: "faultparallel"}},
+			`did you mean "parallel"?`},
+		{JobRequest{Kind: KindFaultSim, Builtin: "c17", Options: Options{Backend: "deductive"}},
+			"want auto, serial, parallel or cpt"},
+		{JobRequest{Kind: KindDiagnose, Builtin: "c17", Options: Options{Backend: "deductive", Inject: "g6 s-a-0"}},
+			"want auto, serial, parallel or cpt"},
+	} {
+		_, code, e := postJob(t, ts.URL, tc.req)
+		if code != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s backend=%s: status %d body %+v, want 400 + %q", tc.req.Kind, tc.req.Options.Backend, code, e, tc.want)
 		}
 	}
 
@@ -489,6 +509,30 @@ func TestServiceValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("cancel unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServiceScanWithoutStorage: scan on a combinational circuit
+// fails that job with an error naming the problem, and the daemon
+// keeps serving — the next job on the same worker completes.
+func TestServiceScanWithoutStorage(t *testing.T) {
+	srv, ts, _ := testServer(t, Config{Workers: 1, QueueDepth: 4})
+	defer srv.Shutdown(context.Background())
+
+	v, code, e := postJob(t, ts.URL, JobRequest{Kind: KindFaultSim, Builtin: "c17", Options: Options{Scan: true}})
+	if code != http.StatusAccepted {
+		t.Fatalf("status %d (%+v)", code, e)
+	}
+	got := waitTerminal(t, ts.URL, v.ID)
+	if got.State != StateFailed || !strings.Contains(got.Error, "no flip-flops") {
+		t.Fatalf("scan on c17: state %s error %q, want failed naming the missing flip-flops", got.State, got.Error)
+	}
+	v, code, e = postJob(t, ts.URL, JobRequest{Kind: KindFaultSim, Builtin: "c17"})
+	if code != http.StatusAccepted {
+		t.Fatalf("follow-up status %d (%+v)", code, e)
+	}
+	if got := waitTerminal(t, ts.URL, v.ID); got.State != StateDone {
+		t.Fatalf("follow-up job: %s (%s)", got.State, got.Error)
 	}
 }
 
@@ -698,7 +742,7 @@ func TestServiceATPGAndTimeout(t *testing.T) {
 
 	v, code, _ := postJob(t, ts.URL, JobRequest{
 		Kind: KindATPG, Builtin: "alu74181",
-		Options: Options{Random: 64, Compact: true},
+		Options: Options{Random: 64, CompactMode: "reverse"},
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("status %d", code)

@@ -211,40 +211,32 @@ func TestCompileFoldsConstants(t *testing.T) {
 	}
 }
 
-// TestKernelDispatch checks the package entry points actually switch
-// kernels, and that both give the same answers through the public API.
+// TestKernelDispatch checks the package entry points run the
+// circuit's cached compiled program, and that they give the
+// interpreter's answers through the public API.
 func TestKernelDispatch(t *testing.T) {
 	c := mustParse(t, "c17", c17Bench)
 	pi := []bool{true, false, true, true, false}
-	prev := SetDefaultKernel(KernelInterp)
-	defer SetDefaultKernel(prev)
-	interp := Eval(c, pi, nil)
-	SetDefaultKernel(KernelCompiled)
+	before := cKernelBoolEvals.Value()
 	compiled := Eval(c, pi, nil)
+	if cKernelBoolEvals.Value() == before {
+		t.Fatal("Eval did not run the compiled program")
+	}
+	interp := make([]bool, c.NumNets())
+	EvalInterpInto(c, pi, nil, interp, nil)
 	for i := range interp {
 		if interp[i] != compiled[i] {
 			t.Fatalf("net %d: interp %v compiled %v", i, interp[i], compiled[i])
 		}
 	}
-}
-
-func TestKernelParse(t *testing.T) {
-	for _, tc := range []struct {
-		s  string
-		k  Kernel
-		ok bool
-	}{
-		{"compiled", KernelCompiled, true},
-		{"interp", KernelInterp, true},
-		{"fast", KernelCompiled, false},
-	} {
-		k, err := ParseKernel(tc.s)
-		if (err == nil) != tc.ok || (tc.ok && k != tc.k) {
-			t.Errorf("ParseKernel(%q) = %v, %v", tc.s, k, err)
+	piW := []uint64{0xF0F0, 0xFF00, 0xAAAA, 0xCCCC, 0x1234}
+	words := EvalWords(c, piW, nil)
+	ref := make(Words, c.NumNets())
+	EvalWordsInterpInto(c, piW, nil, ref, nil)
+	for i := range ref {
+		if words[i] != ref[i] {
+			t.Fatalf("net %d: interp word %#x compiled %#x", i, ref[i], words[i])
 		}
-	}
-	if KernelCompiled.String() != "compiled" || KernelInterp.String() != "interp" {
-		t.Errorf("kernel names: %q %q", KernelCompiled, KernelInterp)
 	}
 }
 
